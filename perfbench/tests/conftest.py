@@ -1,0 +1,14 @@
+"""Make the benchmark package and the serving package importable.
+
+Run from the checkout root with ``python -m pytest perfbench/tests``.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+BENCH_DIR = Path(__file__).resolve().parent.parent
+for path in (BENCH_DIR, BENCH_DIR.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
