@@ -3,11 +3,11 @@
 This package is the paper's primary contribution:
 
 * :class:`RelaxedQuantizer` — a softmax mixture over per-bit-width quantizers
-  (the continuous relaxation of Equation 6).
+  (the continuous relaxation of Equation 6), and :func:`relaxed_factory`,
+  which fills every quantizer slot of a :mod:`repro.quant.qmodules` model
+  with one — the relaxed layers *are* the quantized layers.
 * :mod:`repro.core.penalty` — the memory-proportional penalty ``C(T)``
   (Equation 8) and its aggregation over an architecture.
-* :mod:`repro.core.relaxed_modules` — relaxed message-passing and linear
-  layers mirroring the quantized modules in :mod:`repro.quant.qmodules`.
 * :mod:`repro.core.build` — "Build Relaxed Architecture" from Algorithm 1.
 * :mod:`repro.core.selection` — the bit-width search loop ("Find Bit-widths").
 * :mod:`repro.core.mixq` — the high-level :class:`MixQNodeClassifier` /
@@ -16,16 +16,8 @@ This package is the paper's primary contribution:
   and Pareto-front extraction (Figures 2, 3 and Table 10).
 """
 
-from repro.core.relaxed_quantizer import RelaxedQuantizer
+from repro.core.relaxed_quantizer import RelaxedQuantizer, relaxed_factory
 from repro.core.penalty import memory_penalty_mb, total_penalty
-from repro.core.relaxed_modules import (
-    RelaxedGCNConv,
-    RelaxedGINConv,
-    RelaxedSAGEConv,
-    RelaxedLinear,
-    RelaxedNodeClassifier,
-    RelaxedGraphClassifier,
-)
 from repro.core.build import build_relaxed_node_classifier, build_relaxed_graph_classifier
 from repro.core.selection import BitWidthSearchResult, search_node_bitwidths, search_graph_bitwidths
 from repro.core.mixq import MixQNodeClassifier, MixQGraphClassifier, MixQResult
@@ -37,14 +29,9 @@ from repro.core.search_space import (
 
 __all__ = [
     "RelaxedQuantizer",
+    "relaxed_factory",
     "memory_penalty_mb",
     "total_penalty",
-    "RelaxedGCNConv",
-    "RelaxedGINConv",
-    "RelaxedSAGEConv",
-    "RelaxedLinear",
-    "RelaxedNodeClassifier",
-    "RelaxedGraphClassifier",
     "build_relaxed_node_classifier",
     "build_relaxed_graph_classifier",
     "BitWidthSearchResult",

@@ -85,21 +85,12 @@ def get_backend(name: str) -> NumpyBackend:
     """The shared instance registered under ``name`` (built on first use)."""
     with _registry_lock:
         instance = _instances.get(name)
-        if instance is None:
-            factory = _factories.get(name)
-            if factory is None:
-                raise ValueError(
-                    f"unknown kernel backend {name!r}; available: "
-                    f"{', '.join(available_backends_locked())}")
-            instance = factory()
-            _instances[name] = instance
+        if instance is None and name in _factories:
+            instance = _instances[name] = _factories[name]()
+    if instance is None:
+        raise ValueError(f"unknown kernel backend {name!r}; available: "
+                         f"{', '.join(available_backends())}")
     return instance
-
-
-def available_backends_locked() -> Tuple[str, ...]:  # requires-lock: _registry_lock
-    names = set(_factories)
-    ordered = [DEFAULT_BACKEND] if DEFAULT_BACKEND in names else []
-    return tuple(ordered + sorted(names - {DEFAULT_BACKEND}))
 
 
 def resolve_backend(backend: BackendLike = None) -> NumpyBackend:

@@ -5,7 +5,9 @@ The public surface mirrors the decomposition of the paper:
 * :class:`AffineQuantizer` — quantization-aware-training quantizer with STE
   gradients (Equations 3-4).
 * :mod:`repro.quant.integer_mp` — Theorem 1: exact integer message passing.
-* :mod:`repro.quant.qmodules` — fixed-bit-width quantized GNN layers.
+* :mod:`repro.quant.qmodules` — quantized GNN layers, one per conv family;
+  a quantizer factory fills their slots (fixed bit-widths for QAT, or
+  :func:`repro.core.relaxed_factory` mixtures for the bit-width search).
 * :mod:`repro.quant.degree_quant` / :mod:`repro.quant.a2q` — the two prior
   methods the paper compares against (DQ and A²Q).
 * :mod:`repro.quant.bitops` — the BitOPs efficiency metric (Section 5.1).

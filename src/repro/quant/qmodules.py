@@ -1,9 +1,9 @@
-"""Fixed-bit-width quantized GNN modules (quantization-aware training).
+"""Quantized GNN modules: one layer class per conv family.
 
-Each quantized layer owns one quantizer per *component* in the sense of the
-paper: inputs, learnable parameters, the outputs of the message function,
-the adjacency values, and the outputs of the aggregation.  Component
-bit-widths are supplied as a flat assignment dictionary, e.g.::
+Each quantized layer owns one quantizer *slot* per component in the sense
+of the paper: inputs, learnable parameters, the outputs of the message
+function, the adjacency values, and the outputs of the aggregation.
+Component bit-widths are supplied as a flat assignment dictionary, e.g.::
 
     {"conv0.input": 8, "conv0.weight": 4, "conv0.linear_out": 4,
      "conv0.adjacency": 8, "conv0.aggregate_out": 8,
@@ -13,10 +13,14 @@ which is exactly the format produced by the MixQ-GNN bit-width search
 (:mod:`repro.core.selection`), so a search result can be instantiated as a
 quantized architecture directly.
 
-A ``quantizer_factory`` hook decides which quantizer class realises each
-component; the default uses :class:`AffineQuantizer`, and passing the
-Degree-Quant factory (:func:`repro.quant.degree_quant.degree_quant_factory`)
-reproduces the paper's "MixQ + DQ" integration.
+A ``quantizer_factory`` hook decides what fills each slot.  The default
+uses :class:`AffineQuantizer` (fixed-bit-width quantization-aware
+training); the Degree-Quant factory
+(:func:`repro.quant.degree_quant.degree_quant_factory`) reproduces the
+paper's "MixQ + DQ" integration; and
+:func:`repro.core.relaxed_quantizer.relaxed_factory` fills every slot with
+a softmax mixture over candidate bit-widths, which turns the same layers
+into the searchable (relaxed) architecture of Algorithm 1.
 """
 
 from __future__ import annotations
@@ -93,28 +97,52 @@ def set_active_block(module: Module, block) -> None:
             sub.set_active_block(block)
 
 
-class _QuantizedAdjacencyCache:
-    """Fake-quantizes adjacency values once per adjacency object.
+class _QuantizedAdjacency:
+    """Aggregates messages through one adjacency slot's quantized adjacency.
 
-    The cache stores the source adjacency alongside the quantized copy: the
-    stored reference keeps the source alive, so an ``id()`` key can never be
-    silently reused by a different (garbage-collected-and-reallocated)
-    adjacency of another graph.
+    A fixed slot fake-quantizes the adjacency values and computes
+    ``spmm(quantized, messages)``.  A relaxed slot (one exposing
+    ``mixture_terms``, see :class:`~repro.core.relaxed_quantizer.RelaxedQuantizer`)
+    keeps one quantized copy per candidate bit-width and blends the
+    per-choice aggregation outputs with its softmax weights: the sparse
+    values are not part of the autograd graph, so mixing the *outputs* is
+    what lets task gradients reach the relaxation parameters.
+
+    Quantized copies are built once per adjacency object.  The cache stores
+    the source adjacency alongside them: the stored reference keeps the
+    source alive, so an ``id()`` key can never be silently reused by a
+    different (garbage-collected-and-reallocated) adjacency of another graph.
+    Deliberately not a :class:`Module`, so the slot's quantizer is
+    registered once, by the layer that owns it.
     """
 
     def __init__(self, quantizer: Module):
         self.quantizer = quantizer
-        self._cache: dict[int, tuple[SparseTensor, SparseTensor]] = {}
+        self.relaxed = hasattr(quantizer, "mixture_terms")
+        self._cache: dict[int, tuple[SparseTensor, List[SparseTensor]]] = {}
 
-    def __call__(self, adjacency: SparseTensor) -> SparseTensor:
-        if isinstance(self.quantizer, IdentityQuantizer):
-            return adjacency
+    def aggregate(self, adjacency: SparseTensor, messages: Tensor) -> Tensor:
+        variants = self._quantized(adjacency)
+        if not self.relaxed:
+            return spmm(variants[0], messages)
+        self.quantizer.last_numel = adjacency.nnz
+        return self.quantizer.mixture_terms(
+            [spmm(variant, messages) for variant in variants])
+
+    def _quantized(self, adjacency: SparseTensor) -> List[SparseTensor]:
         key = id(adjacency)
         entry = self._cache.get(key)
         if entry is None or entry[0] is not adjacency:
-            integers, params = self.quantizer.quantize_array(adjacency.values)
-            values = self.quantizer.dequantize_array(integers, params)
-            self._cache[key] = (adjacency, adjacency.with_values(values.astype(np.float32)))
+            choices = self.quantizer.quantizers if self.relaxed else [self.quantizer]
+            variants = []
+            for quantizer in choices:
+                if isinstance(quantizer, IdentityQuantizer):
+                    variants.append(adjacency)
+                    continue
+                integers, params = quantizer.quantize_array(adjacency.values)
+                values = quantizer.dequantize_array(integers, params)
+                variants.append(adjacency.with_values(values.astype(np.float32)))
+            self._cache[key] = (adjacency, variants)
             if len(self._cache) > 8:
                 self._cache.pop(next(iter(self._cache)))
         return self._cache[key][1]
@@ -183,7 +211,7 @@ class QuantGCNConv(MessagePassing):
         self.adjacency_quantizer = build("adjacency", "adjacency")
         self.aggregate_out_quantizer = build("aggregate_out", "activation") \
             if quantize_output else IdentityQuantizer()
-        self._adjacency_cache = _QuantizedAdjacencyCache(self.adjacency_quantizer)
+        self._adjacency = _QuantizedAdjacency(self.adjacency_quantizer)
 
     def forward(self, x: Tensor, graph: GraphLike) -> Tensor:
         x = self.input_quantizer(x)
@@ -192,8 +220,7 @@ class QuantGCNConv(MessagePassing):
         if self.linear.bias is not None:
             transformed = transformed + self.linear.bias
         transformed = self.linear_out_quantizer(transformed)
-        adjacency = self._adjacency_cache(graph.normalized_adjacency())
-        aggregated = spmm(adjacency, transformed)
+        aggregated = self._adjacency.aggregate(graph.normalized_adjacency(), transformed)
         return self.aggregate_out_quantizer(aggregated)
 
     # ------------------------------------------------------------------ #
@@ -260,12 +287,11 @@ class QuantGINConv(MessagePassing):
                                       quantizer_factory=quantizer_factory, rng=rng)
         self.activation = ReLU()
         self.eps = 0.0
-        self._adjacency_cache = _QuantizedAdjacencyCache(self.adjacency_quantizer)
+        self._adjacency = _QuantizedAdjacency(self.adjacency_quantizer)
 
     def forward(self, x: Tensor, graph: GraphLike) -> Tensor:
         x = self.input_quantizer(x)
-        adjacency = self._adjacency_cache(graph.adjacency(add_self_loops=False))
-        aggregated = spmm(adjacency, x)
+        aggregated = self._adjacency.aggregate(graph.adjacency(add_self_loops=False), x)
         combined = target_features(x, graph) * (1.0 + self.eps) + aggregated
         combined = self.aggregate_out_quantizer(combined)
         hidden = self.activation(self.mlp_first(combined))
@@ -331,12 +357,12 @@ class QuantSAGEConv(MessagePassing):
         self.weight_root_quantizer = quantizer_factory(bit("weight_root"), "weight")
         self.weight_neighbour_quantizer = quantizer_factory(bit("weight_neighbour"), "weight")
         self.output_quantizer = quantizer_factory(bit("output"), "activation")
-        self._adjacency_cache = _QuantizedAdjacencyCache(self.adjacency_quantizer)
+        self._adjacency = _QuantizedAdjacency(self.adjacency_quantizer)
 
     def forward(self, x: Tensor, graph: GraphLike) -> Tensor:
         x = self.input_quantizer(x)
-        adjacency = self._adjacency_cache(mean_adjacency(graph))
-        aggregated = self.aggregate_out_quantizer(spmm(adjacency, x))
+        aggregated = self.aggregate_out_quantizer(
+            self._adjacency.aggregate(mean_adjacency(graph), x))
         weight_root = self.weight_root_quantizer(self.linear_root.weight)
         weight_neighbour = self.weight_neighbour_quantizer(self.linear_neighbour.weight)
         out = target_features(x, graph).matmul(weight_root) + self.linear_root.bias \
@@ -611,7 +637,7 @@ class QuantTAGConv(MessagePassing):
             [quantizer_factory(bit(f"weight_{k}"), "weight")
              for k in range(hops + 1)])
         self.output_quantizer = quantizer_factory(bit("output"), "activation")
-        self._adjacency_cache = _QuantizedAdjacencyCache(self.adjacency_quantizer)
+        self._adjacency = _QuantizedAdjacency(self.adjacency_quantizer)
 
     @classmethod
     def components(cls, hops: int) -> tuple:
@@ -631,12 +657,12 @@ class QuantTAGConv(MessagePassing):
         output = final_rows(x).matmul(weight) + self.linears[0].bias
         propagated = x
         for hop, view in enumerate(views, start=1):
-            adjacency = self._adjacency_cache(view.normalized_adjacency())
+            propagated = self._adjacency.aggregate(view.normalized_adjacency(), propagated)
             if isinstance(view, SubgraphBlock):
                 # Hop outputs are row-indexed by this hop's target side, not
                 # by the layer's input block (the one forward_blocks set).
                 set_active_block(self.hop_out_quantizer, view)
-            propagated = self.hop_out_quantizer(spmm(adjacency, propagated))
+            propagated = self.hop_out_quantizer(propagated)
             weight = self.weight_quantizers[hop](self.linears[hop].weight)
             output = output + final_rows(propagated).matmul(weight)
         if isinstance(last, SubgraphBlock):
@@ -674,6 +700,12 @@ class QuantTAGConv(MessagePassing):
                         max(hop_bits, _bits_of(self.weight_quantizers[hop])))
             x_bits = hop_bits
         return counter, _bits_of(self.output_quantizer)
+
+
+#: ``conv_type`` -> quantized conv class, shared by every model builder.
+_CONVS: Dict[str, type] = {"gcn": QuantGCNConv, "gin": QuantGINConv,
+                           "sage": QuantSAGEConv, "gat": QuantGATConv,
+                           "tag": QuantTAGConv, "transformer": QuantTransformerConv}
 
 
 def _layer_assignment(assignment: BitWidthAssignment, prefix: str) -> ComponentBits:
@@ -740,12 +772,9 @@ class QuantNodeClassifier(Module):
         layers merge by ``head_merge``, the output layer by ``mean``
         (:func:`~repro.gnn.models.head_merge_for_layer`).
         """
-        conv_classes = {"gcn": QuantGCNConv, "gin": QuantGINConv,
-                        "sage": QuantSAGEConv, "gat": QuantGATConv,
-                        "tag": QuantTAGConv, "transformer": QuantTransformerConv}
-        if conv_type not in conv_classes:
-            raise KeyError(f"unknown conv type {conv_type!r}")
-        conv_class = conv_classes[conv_type]
+        if conv_type not in _CONVS:
+            raise KeyError(f"unknown conv type {conv_type!r}; options: {sorted(_CONVS)}")
+        conv_class = _CONVS[conv_type]
         convs: List[MessagePassing] = []
         for index, (fan_in, fan_out) in enumerate(layer_dims):
             layer_bits = _layer_assignment(assignment, f"conv{index}")
@@ -902,60 +931,45 @@ def uniform_assignment(component_names: List[str], bits: int) -> BitWidthAssignm
     return {name: int(bits) for name in component_names}
 
 
+def component_names(conv_type: str, num_layers: int, hops: int = 3) -> List[str]:
+    """Component names of an ``num_layers``-layer quantized ``conv_type`` stack.
+
+    Only the first layer has an ``input`` component; ``hops`` only applies
+    to ``"tag"``.
+    """
+    conv_class = _CONVS[conv_type]
+    components = conv_class.components(hops) if conv_class is QuantTAGConv \
+        else conv_class.COMPONENTS
+    return [f"conv{index}.{component}" for index in range(num_layers)
+            for component in (components if index == 0 else components[1:])]
+
+
 def gcn_component_names(num_layers: int) -> List[str]:
     """Component names of an ``num_layers``-layer quantized GCN (paper's example)."""
-    names: List[str] = []
-    for index in range(num_layers):
-        components = QuantGCNConv.COMPONENTS if index == 0 else QuantGCNConv.COMPONENTS[1:]
-        names.extend(f"conv{index}.{component}" for component in components)
-    return names
+    return component_names("gcn", num_layers)
 
 
 def gin_component_names(num_layers: int, with_head: bool = True) -> List[str]:
     """Component names of a quantized GIN graph classifier."""
-    names: List[str] = []
-    for index in range(num_layers):
-        components = QuantGINConv.COMPONENTS if index == 0 else QuantGINConv.COMPONENTS[1:]
-        names.extend(f"conv{index}.{component}" for component in components)
-    if with_head:
-        names.extend(["head0.weight", "head0.output", "head1.weight", "head1.output"])
-    return names
+    head = ["head0.weight", "head0.output", "head1.weight", "head1.output"]
+    return component_names("gin", num_layers) + (head if with_head else [])
 
 
 def sage_component_names(num_layers: int) -> List[str]:
     """Component names of a quantized GraphSAGE node classifier."""
-    names: List[str] = []
-    for index in range(num_layers):
-        components = QuantSAGEConv.COMPONENTS if index == 0 else QuantSAGEConv.COMPONENTS[1:]
-        names.extend(f"conv{index}.{component}" for component in components)
-    return names
+    return component_names("sage", num_layers)
 
 
 def gat_component_names(num_layers: int) -> List[str]:
     """Component names of a quantized GAT node classifier."""
-    names: List[str] = []
-    for index in range(num_layers):
-        components = QuantGATConv.COMPONENTS if index == 0 else QuantGATConv.COMPONENTS[1:]
-        names.extend(f"conv{index}.{component}" for component in components)
-    return names
+    return component_names("gat", num_layers)
 
 
 def transformer_component_names(num_layers: int) -> List[str]:
     """Component names of a quantized Transformer node classifier."""
-    names: List[str] = []
-    for index in range(num_layers):
-        components = QuantTransformerConv.COMPONENTS if index == 0 \
-            else QuantTransformerConv.COMPONENTS[1:]
-        names.extend(f"conv{index}.{component}" for component in components)
-    return names
+    return component_names("transformer", num_layers)
 
 
 def tag_component_names(num_layers: int, hops: int = 3) -> List[str]:
     """Component names of a quantized TAG node classifier."""
-    names: List[str] = []
-    for index in range(num_layers):
-        components = QuantTAGConv.components(hops)
-        if index != 0:
-            components = components[1:]
-        names.extend(f"conv{index}.{component}" for component in components)
-    return names
+    return component_names("tag", num_layers, hops=hops)

@@ -384,8 +384,16 @@ class QuantizedArtifact:
                     "MixQNodeClassifier with a finalized quantized_model")
             return cls.from_model(quantized, metadata=metadata)
 
+        # Deferred: repro.core imports repro.quant, which imports this module.
+        from repro.core.relaxed_quantizer import RelaxedQuantizer
+
         plans: List[LayerPlan] = []
-        for conv in convs:
+        for index, conv in enumerate(convs):
+            if any(isinstance(module, RelaxedQuantizer) for module in conv.modules()):
+                raise TypeError(
+                    f"layer conv{index} ({type(conv).__name__}) holds relaxed "
+                    f"quantizers: a search model is not deployable; build the "
+                    f"quantized model from its component_bits() and train it first")
             exporter = _EXPORTERS.get(type(conv))
             if exporter is None:
                 for conv_class, candidate in _EXPORTERS.items():
@@ -394,7 +402,7 @@ class QuantizedArtifact:
                         break
             if exporter is None:
                 raise TypeError(f"unsupported layer {type(conv).__name__}; serving "
-                                f"handles QuantGCNConv / QuantSAGEConv / QuantGINConv")
+                                f"handles {', '.join(c.__name__ for c in _EXPORTERS)}")
             plans.append(exporter(conv))
         conv_types = {plan.conv_type for plan in plans}
         if len(conv_types) != 1:

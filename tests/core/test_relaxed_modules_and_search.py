@@ -1,4 +1,4 @@
-"""Tests for the relaxed layers, Algorithm 1 (build + search) and the MixQ API."""
+"""Tests for relaxed-slot layers, Algorithm 1 (build + search) and the MixQ API."""
 
 import numpy as np
 import pytest
@@ -9,49 +9,51 @@ from repro.core.build import (
     layer_dimensions,
 )
 from repro.core.mixq import MixQGraphClassifier, MixQNodeClassifier
-from repro.core.relaxed_modules import (
-    RelaxedGCNConv,
-    RelaxedGINConv,
-    RelaxedSAGEConv,
-)
+from repro.core.relaxed_quantizer import relaxed_factory
 from repro.core.selection import search_graph_bitwidths, search_node_bitwidths
 from repro.graphs.batch import GraphBatch
 from repro.quant.degree_quant import DegreeQuantizer, degree_quant_factory
-from repro.quant.qmodules import gcn_component_names
+from repro.quant.qmodules import (
+    QuantGCNConv,
+    QuantGINConv,
+    QuantSAGEConv,
+    gcn_component_names,
+)
 from repro.tensor import Tensor
 
 BIT_CHOICES = (2, 4, 8)
 
 
 class TestRelaxedConvs:
-    @pytest.mark.parametrize("conv_class", [RelaxedGCNConv, RelaxedGINConv, RelaxedSAGEConv])
+    @pytest.mark.parametrize("conv_class", [QuantGCNConv, QuantGINConv, QuantSAGEConv])
     def test_forward_shape(self, conv_class, tiny_graph):
-        conv = conv_class(5, 6, BIT_CHOICES, quantize_input=True,
-                          rng=np.random.default_rng(0))
+        conv = conv_class(5, 6, {}, quantizer_factory=relaxed_factory(BIT_CHOICES),
+                          quantize_input=True, rng=np.random.default_rng(0))
         out = conv(Tensor(tiny_graph.x), tiny_graph)
         assert out.shape == (12, 6)
         assert np.isfinite(out.data).all()
 
-    @pytest.mark.parametrize("conv_class", [RelaxedGCNConv, RelaxedGINConv, RelaxedSAGEConv])
-    def test_export_bits_only_contains_valid_choices(self, conv_class, tiny_graph):
-        conv = conv_class(5, 6, BIT_CHOICES, quantize_input=True,
-                          rng=np.random.default_rng(0))
+    @pytest.mark.parametrize("conv_class", [QuantGCNConv, QuantGINConv, QuantSAGEConv])
+    def test_component_bits_only_contains_valid_choices(self, conv_class, tiny_graph):
+        conv = conv_class(5, 6, {}, quantizer_factory=relaxed_factory(BIT_CHOICES),
+                          quantize_input=True, rng=np.random.default_rng(0))
         conv(Tensor(tiny_graph.x), tiny_graph)
-        exported = conv.export_bits("conv0")
+        exported = conv.component_bits("conv0")
         assert exported
         assert set(exported.values()) <= set(BIT_CHOICES)
 
     def test_alpha_gradients_flow_from_task_loss(self, tiny_graph):
-        conv = RelaxedGCNConv(5, 3, BIT_CHOICES, quantize_input=True,
-                              rng=np.random.default_rng(0))
+        conv = QuantGCNConv(5, 3, {}, quantizer_factory=relaxed_factory(BIT_CHOICES),
+                            quantize_input=True, rng=np.random.default_rng(0))
         (conv(Tensor(tiny_graph.x), tiny_graph) ** 2).sum().backward()
-        assert conv.weight_relaxed.alpha.grad is not None
-        assert conv.adjacency_relaxed.alpha.grad is not None
+        assert conv.weight_quantizer.alpha.grad is not None
+        assert conv.adjacency_quantizer.alpha.grad is not None
 
     def test_adjacency_numel_is_nnz(self, tiny_graph):
-        conv = RelaxedGCNConv(5, 3, BIT_CHOICES, rng=np.random.default_rng(0))
+        conv = QuantGCNConv(5, 3, {}, quantizer_factory=relaxed_factory(BIT_CHOICES),
+                            rng=np.random.default_rng(0))
         conv(Tensor(tiny_graph.x), tiny_graph)
-        assert conv.adjacency_relaxed.last_numel == \
+        assert conv.adjacency_quantizer.last_numel == \
             tiny_graph.normalized_adjacency().nnz
 
 
@@ -66,7 +68,7 @@ class TestBuilders:
         model = build_relaxed_node_classifier("gcn", [(5, 8), (8, 3)], BIT_CHOICES,
                                               rng=np.random.default_rng(0))
         model(tiny_graph)
-        assignment = model.export_assignment()
+        assignment = model.component_bits()
         assert sorted(assignment) == sorted(gcn_component_names(2))
 
     def test_unknown_conv_type(self):
@@ -79,7 +81,7 @@ class TestBuilders:
                                                rng=np.random.default_rng(0))
         batch = GraphBatch(tu_graphs[:4])
         assert model(batch).shape == (4, 2)
-        assignment = model.export_assignment()
+        assignment = model.component_bits()
         assert any(key.startswith("head0") for key in assignment)
 
 

@@ -10,9 +10,9 @@ from repro.core.penalty import (
     relaxed_quantizers,
     total_penalty,
 )
-from repro.core.relaxed_quantizer import RelaxedQuantizer
-from repro.core.relaxed_modules import RelaxedLinear
+from repro.core.relaxed_quantizer import RelaxedQuantizer, relaxed_factory
 from repro.nn.module import Module
+from repro.quant.qmodules import QuantLinear
 from repro.tensor import Tensor
 
 
@@ -87,7 +87,8 @@ class TestRelaxedQuantizer:
 class _ToyRelaxed(Module):
     def __init__(self):
         super().__init__()
-        self.layer = RelaxedLinear(4, 3, [2, 4, 8], rng=np.random.default_rng(0))
+        self.layer = QuantLinear(4, 3, quantizer_factory=relaxed_factory([2, 4, 8]),
+                                 rng=np.random.default_rng(0))
 
     def forward(self, x):
         return self.layer(x)

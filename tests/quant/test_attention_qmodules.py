@@ -3,7 +3,8 @@
 The fanout=∞ block-vs-full bit-identity contract for the QAT models lives
 in the unified parity matrix (``tests/parity_matrix.py``, QAT × direct
 rows) — this file keeps the quantization-specific behaviour: component
-sets, head-axis plumbing, Degree-Quant alignment and relaxed mirrors.
+sets, head-axis plumbing, Degree-Quant alignment and the relaxed-slot
+(search) models of every family.
 """
 
 from __future__ import annotations
@@ -12,11 +13,13 @@ import numpy as np
 import pytest
 
 from repro.core.build import build_relaxed_node_classifier
+from repro.core.penalty import relaxed_quantizers
 from repro.quant.qmodules import (
     QuantGATConv,
     QuantNodeClassifier,
     QuantTAGConv,
     QuantTransformerConv,
+    component_names,
     gat_component_names,
     tag_component_names,
     transformer_component_names,
@@ -25,6 +28,7 @@ from repro.quant.qmodules import (
 from repro.graphs.sampling import NeighborSampler
 
 FAMILIES = ("gat", "tag", "transformer")
+ALL_FAMILIES = ("gcn", "gin", "sage", "gat", "tag", "transformer")
 HEADED_FAMILIES = ("gat", "transformer")
 
 _NAMES = {
@@ -217,7 +221,7 @@ class TestRelaxedFamilies:
         relaxed = build_relaxed_node_classifier(
             family, [(sbm_graph.num_features, 8), (8, sbm_graph.num_classes)],
             [4, 8], hops=hops, rng=np.random.default_rng(0))
-        assignment = relaxed.export_assignment()
+        assignment = relaxed.component_bits()
         expected = _NAMES[family](2) if family != "tag" \
             else tag_component_names(2, hops=hops)
         assert set(assignment) == set(expected)
@@ -227,3 +231,34 @@ class TestRelaxedFamilies:
             [(sbm_graph.num_features, 8), (8, sbm_graph.num_classes)], family,
             assignment, rng=np.random.default_rng(0), **extra)
         assert set(model.component_bits()) == set(expected)
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_single_choice_search_model_matches_uniform_qat(self, sbm_graph, family):
+        # A relaxed slot over one choice b is the fixed b-bit quantizer times
+        # softmax weight 1.0, so the search model and the uniform-b QAT model
+        # must agree bitwise — dropout and observer state included.
+        dims = [(sbm_graph.num_features, 8), (8, sbm_graph.num_classes)]
+        extra = {"hops": 2, "heads": 2}
+        relaxed = build_relaxed_node_classifier(
+            family, dims, [4], rng=np.random.default_rng(0), **extra)
+        fixed = QuantNodeClassifier.from_assignment(
+            dims, family, uniform_assignment(component_names(family, 2, hops=2), 4),
+            rng=np.random.default_rng(0), **extra)
+        relaxed.train()
+        fixed.train()
+        for _ in range(3):
+            np.testing.assert_array_equal(relaxed(sbm_graph).data, fixed(sbm_graph).data)
+        relaxed.eval()
+        fixed.eval()
+        np.testing.assert_array_equal(relaxed(sbm_graph).data, fixed(sbm_graph).data)
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_each_relaxed_quantizer_registered_once(self, sbm_graph, family):
+        relaxed = build_relaxed_node_classifier(
+            family, [(sbm_graph.num_features, 8), (8, sbm_graph.num_classes)],
+            [2, 4, 8], hops=2, heads=2, rng=np.random.default_rng(0))
+        relaxed(sbm_graph)
+        quantizers = relaxed_quantizers(relaxed)
+        parameters = relaxed.parameters()
+        assert len({id(q) for q in quantizers}) == len(quantizers)
+        assert len({id(p) for p in parameters}) == len(parameters)

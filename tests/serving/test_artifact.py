@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.build import build_relaxed_node_classifier
 from repro.core.mixq import MixQNodeClassifier
 from repro.gnn.models import build_node_model
 from repro.quant.qmodules import gcn_component_names, uniform_assignment
@@ -51,7 +52,23 @@ class TestExport:
     def test_rejects_float_model(self, small_cora, rng):
         model = build_node_model("gcn", small_cora.num_features, 8,
                                  small_cora.num_classes, rng=rng)
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError) as excinfo:
+            QuantizedArtifact.from_model(model)
+        # the message lists every exportable family
+        for name in ("QuantGCNConv", "QuantSAGEConv", "QuantGINConv", "QuantGATConv",
+                     "QuantTransformerConv", "QuantTAGConv"):
+            assert name in str(excinfo.value)
+
+    @pytest.mark.parametrize("conv", ("gcn", "gin", "sage", "gat", "tag", "transformer"))
+    def test_rejects_relaxed_search_model(self, small_cora, conv):
+        # A search model is built from Quant* layers, so the layer-type
+        # dispatch alone would export it as a float artifact.
+        model = build_relaxed_node_classifier(
+            conv, [(small_cora.num_features, 8), (8, small_cora.num_classes)],
+            (2, 4, 8), hops=2, rng=np.random.default_rng(0))
+        model(small_cora)
+        model.eval()
+        with pytest.raises(TypeError, match=r"conv0 \(Quant\w+Conv\) holds relaxed"):
             QuantizedArtifact.from_model(model)
 
     def test_accepts_finalized_mixq(self, small_cora):
