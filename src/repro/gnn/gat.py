@@ -20,19 +20,12 @@ minibatch execution.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
-from repro.gnn.attention import (
-    attention_aggregate_operations,
-    attention_edges,
-    attention_head_dim,
-    gat_score_operations,
-    transformer_score_operations,
-)
+from repro.gnn.attention import attention_edges, attention_head_dim
 from repro.gnn.message_passing import GraphLike, MessagePassing
-from repro.graphs.graph import Graph
 from repro.nn import init
 from repro.nn.linear import Linear
 from repro.nn.module import Parameter
@@ -72,6 +65,8 @@ def merge_heads(aggregated: Tensor, heads: int, head_dim: int,
 
 class GATConv(MessagePassing):
     """One multi-head GAT convolution (``heads=1`` by default)."""
+
+    family = "gat"
 
     def __init__(self, in_features: int, out_features: int,
                  negative_slope: float = 0.2, heads: int = 1,
@@ -114,14 +109,8 @@ class GATConv(MessagePassing):
                              self.head_merge)
         return merged + self.bias
 
-    def operation_count(self, graph: Graph) -> int:
-        num_edges = graph.num_edges + graph.num_nodes
-        transform = self.linear.operation_count(graph.num_nodes)
-        scores = gat_score_operations(graph.num_nodes, num_edges,
-                                      self.heads, self.head_dim)
-        aggregate = attention_aggregate_operations(num_edges, self.heads,
-                                                   self.head_dim)
-        return transform + scores + aggregate
+    def weight_slots(self) -> Dict[str, Linear]:
+        return {"weight": self.linear}
 
     def __repr__(self) -> str:
         return (f"GATConv({self.in_features} -> {self.out_features}, "
@@ -135,6 +124,8 @@ class TransformerConv(MessagePassing):
     to :class:`GATConv` but with scaled dot-product attention scores
     (``1 / sqrt(head_dim)``).
     """
+
+    family = "transformer"
 
     def __init__(self, in_features: int, out_features: int, heads: int = 1,
                  head_merge: str = "concat",
@@ -163,16 +154,8 @@ class TransformerConv(MessagePassing):
         return merge_heads(aggregated, self.heads, self.head_dim,
                            self.head_merge)
 
-    def operation_count(self, graph: Graph) -> int:
-        num_edges = graph.num_edges + graph.num_nodes
-        transform = (self.query.operation_count(graph.num_nodes)
-                     + self.key.operation_count(graph.num_nodes)
-                     + self.value.operation_count(graph.num_nodes))
-        scores = transformer_score_operations(num_edges, self.heads,
-                                              self.head_dim)
-        aggregate = attention_aggregate_operations(num_edges, self.heads,
-                                                   self.head_dim)
-        return transform + scores + aggregate
+    def weight_slots(self) -> Dict[str, Linear]:
+        return {"query": self.query, "key": self.key, "value": self.value}
 
     def __repr__(self) -> str:
         return (f"TransformerConv({self.in_features} -> {self.out_features}, "

@@ -7,12 +7,13 @@ and the update function adds the scaled root embedding and applies an MLP.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.gnn.message_passing import MessagePassing
 from repro.graphs.graph import Graph
+from repro.nn.linear import Linear
 from repro.nn.mlp import MLP
 from repro.nn.module import Parameter
 from repro.tensor.sparse import SparseTensor
@@ -21,6 +22,8 @@ from repro.tensor.tensor import Tensor
 
 class GINConv(MessagePassing):
     """One GIN convolution ``MLP((1 + eps) X + A X)``."""
+
+    family = "gin"
 
     def __init__(self, in_features: int, out_features: int,
                  hidden_features: Optional[int] = None,
@@ -51,11 +54,8 @@ class GINConv(MessagePassing):
     def forward(self, x: Tensor, graph: Graph) -> Tensor:
         return self.propagate(graph, x)
 
-    def operation_count(self, graph: Graph) -> int:
-        aggregate = self.aggregation_operations(graph, self.in_features)
-        combine = 2 * graph.num_nodes * self.in_features
-        transform = self.mlp.operation_count(graph.num_nodes)
-        return aggregate + combine + transform
+    def weight_slots(self) -> Dict[str, Linear]:
+        return {"mlp0": self.mlp.linears[0], "mlp1": self.mlp.linears[1]}
 
     def __repr__(self) -> str:
         return f"GINConv({self.in_features} -> {self.out_features})"

@@ -23,10 +23,12 @@ slice of the features (:func:`~repro.graphs.sampling.target_features`).
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Dict, List, Optional, Union
 
+from repro.gnn.costs import Stage, aggregation_edges, stage_table
 from repro.graphs.graph import Graph
 from repro.graphs.sampling import SubgraphBlock, target_features
+from repro.nn.linear import Linear
 from repro.nn.module import Module
 from repro.tensor.sparse import SparseTensor, spmm
 from repro.tensor.tensor import Tensor
@@ -44,6 +46,13 @@ class MessagePassing(Module):
     #: block count of a model is ``sum(conv.hops)``, not ``len(convs)``
     #: (see :func:`~repro.gnn.models.hop_plan`).
     hops: int = 1
+
+    #: Conv family: which rows of :func:`~repro.gnn.costs.stage_table`
+    #: describe this layer (None for the bare base class, which has none).
+    family: Optional[str] = None
+
+    #: Attention heads; the attention families set their own.
+    heads: int = 1
 
     def __init__(self):
         super().__init__()
@@ -88,11 +97,19 @@ class MessagePassing(Module):
     # ------------------------------------------------------------------ #
     # cost accounting used by the BitOPs metric and Figure 1
     # ------------------------------------------------------------------ #
-    def aggregation_operations(self, graph: Graph, num_features: int) -> int:
-        """Scalar operations for the sparse-dense aggregation on ``graph``."""
-        nnz = graph.adjacency(add_self_loops=True).nnz
-        return 2 * nnz * num_features
+    def weight_slots(self) -> Dict[str, Linear]:
+        """The layer's dense transforms, keyed by artifact weight slot."""
+        return {}
+
+    def stages(self, graph: Graph) -> List[Stage]:
+        """This layer's stage table over a full graph (or graph batch)."""
+        weights = {slot: (linear.in_features, linear.out_features,
+                          linear.bias is not None)
+                   for slot, linear in self.weight_slots().items()}
+        edges = [aggregation_edges(self.family, graph)] * self.hops
+        return stage_table(self.family, weights, graph.num_nodes,
+                           graph.num_nodes, edges, self.heads)
 
     def operation_count(self, graph: Graph) -> int:
-        """Total scalar operations for one forward pass (sub-classes refine)."""
-        return self.aggregation_operations(graph, graph.num_features)
+        """Total scalar operations for one forward pass over ``graph``."""
+        return sum(operations for _, operations, _ in self.stages(graph))

@@ -9,7 +9,7 @@ which :meth:`sample_adjacency` reproduces.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -67,6 +67,8 @@ def sample_adjacency(graph: Graph, max_neighbours: int,
 class SAGEConv(MessagePassing):
     """One GraphSAGE convolution with mean aggregation."""
 
+    family = "sage"
+
     def __init__(self, in_features: int, out_features: int, bias: bool = True,
                  max_neighbours: Optional[int] = None,
                  rng: Optional[np.random.Generator] = None):
@@ -92,11 +94,8 @@ class SAGEConv(MessagePassing):
         return self.linear_root(target_features(x, graph)) \
             + self.linear_neighbour(aggregated)
 
-    def operation_count(self, graph: Graph) -> int:
-        aggregate = self.aggregation_operations(graph, self.in_features)
-        transform = (self.linear_root.operation_count(graph.num_nodes)
-                     + self.linear_neighbour.operation_count(graph.num_nodes))
-        return aggregate + transform
+    def weight_slots(self) -> Dict[str, Linear]:
+        return {"root": self.linear_root, "neighbour": self.linear_neighbour}
 
     def __repr__(self) -> str:
         return f"SAGEConv({self.in_features} -> {self.out_features})"

@@ -16,7 +16,7 @@ therefore emit one block *per hop*, not per layer (see
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -55,6 +55,8 @@ def hop_views(graph: TAGGraphLike, hops: int) -> List:
 class TAGConv(MessagePassing):
     """Topology-adaptive graph convolution with ``hops`` adjacency powers."""
 
+    family = "tag"
+
     def __init__(self, in_features: int, out_features: int, hops: int = 3,
                  rng: Optional[np.random.Generator] = None):
         super().__init__()
@@ -79,10 +81,8 @@ class TAGConv(MessagePassing):
             output = output + self.linears[hop](term)
         return output
 
-    def operation_count(self, graph: Graph) -> int:
-        aggregate = self.hops * self.aggregation_operations(graph, self.in_features)
-        transform = sum(linear.operation_count(graph.num_nodes) for linear in self.linears)
-        return aggregate + transform
+    def weight_slots(self) -> Dict[str, Linear]:
+        return {f"hop{k}": linear for k, linear in enumerate(self.linears)}
 
     def __repr__(self) -> str:
         return f"TAGConv({self.in_features} -> {self.out_features}, hops={self.hops})"

@@ -465,6 +465,17 @@ class NeighborSampler:
         """
         if self.cache is not None and targets.shape[0] > 0:
             return self._cached_rows(targets, fanout, hop, salt)
+        return self.uncached_rows(targets, fanout, salt)
+
+    def uncached_rows(self, targets: np.ndarray, fanout: Fanout,
+                      salt: np.uint64
+                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Final rows of ``targets`` computed straight from the graph.
+
+        The cache-free branch of :meth:`_final_rows`: byte-identical to
+        what the cache would return for the same ``salt``, which is what
+        lets a shard owner answer a requester from another rng-epoch.
+        """
         cols, weights, counts = self._raw_rows(targets)
         return self._cap_rows(targets, cols, weights, counts, fanout, salt)
 

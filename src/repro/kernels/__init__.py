@@ -12,8 +12,8 @@ one numpy implementation:
   the contract** — every other backend must reproduce its integer path
   bit-for-bit (the parity matrix asserts this for every registered name);
 * ``vectorized`` ships by default (memoised-CSR edge aggregation,
-  batched per-head scores, memoised weight dequantization); ``numba``
-  registers itself only when numba is importable.
+  batched per-head scores, memoised weight dequantization).  These two
+  are the shipped backends; others plug in through :func:`register_backend`.
 
 Selection happens at session build time: ``FullGraphSession`` /
 ``BlockSession`` accept ``backend=`` (a name or a backend instance), the
@@ -110,18 +110,10 @@ def resolve_backend(backend: BackendLike = None) -> NumpyBackend:
 register_backend(DEFAULT_BACKEND, NumpyBackend)
 register_backend("vectorized", VectorizedBackend)
 
-try:  # optional: registers only when numba is importable in this env
-    from repro.kernels.numba_backend import NumbaBackend
-except ImportError:  # pragma: no cover - exercised only without numba
-    NumbaBackend = None  # type: ignore[assignment,misc]
-else:
-    register_backend("numba", NumbaBackend)
-
 __all__ = [
     "BACKEND_ENV_VAR",
     "BackendLike",
     "DEFAULT_BACKEND",
-    "NumbaBackend",
     "NumpyBackend",
     "VectorizedBackend",
     "available_backends",

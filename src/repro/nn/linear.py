@@ -11,6 +11,12 @@ from repro.nn.module import Module, Parameter
 from repro.tensor.tensor import Tensor
 
 
+def dense_operations(num_rows: int, in_features: int, out_features: int,
+                     bias: bool) -> int:
+    """Scalar multiply-accumulates of ``num_rows`` rows through ``x W (+ b)``."""
+    return num_rows * out_features * (2 * in_features + int(bias))
+
+
 class Linear(Module):
     """Affine transformation of the last input dimension.
 
@@ -42,10 +48,8 @@ class Linear(Module):
 
     def operation_count(self, num_rows: int) -> int:
         """Number of scalar multiply-accumulate operations for ``num_rows`` inputs."""
-        ops = 2 * num_rows * self.in_features * self.out_features
-        if self.bias is not None:
-            ops += num_rows * self.out_features
-        return ops
+        return dense_operations(num_rows, self.in_features, self.out_features,
+                                self.bias is not None)
 
     def __repr__(self) -> str:
         return (f"Linear(in_features={self.in_features}, "

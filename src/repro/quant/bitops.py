@@ -11,17 +11,9 @@ assigned to the architecture's quantized components.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
-# Per-head attention operation counts: defined next to the attention edge
-# list (repro.gnn.attention) so the float layers share them without a
-# gnn -> quant dependency; re-exported here as the accounting-side import
-# point for the QAT modules and the serving executor.
-from repro.gnn.attention import (
-    attention_aggregate_operations,
-    gat_score_operations,
-    transformer_score_operations,
-)
+from repro.gnn.costs import FP32, Stage
 
 FP32_BITS = 32
 
@@ -30,9 +22,7 @@ __all__ = [
     "OperationRecord",
     "BitOpsCounter",
     "average_bits",
-    "gat_score_operations",
-    "transformer_score_operations",
-    "attention_aggregate_operations",
+    "count_stages",
 ]
 
 
@@ -95,6 +85,23 @@ class BitOpsCounter:
     def __repr__(self) -> str:
         return (f"BitOpsCounter(functions={len(self.records)}, "
                 f"GBitOPs={self.giga_bit_operations():.3f})")
+
+
+def count_stages(stages: Sequence[Stage], width: Callable[[str], int],
+                 prefix: str, counter: Optional[BitOpsCounter] = None
+                 ) -> BitOpsCounter:
+    """Record stage-table rows (:func:`repro.gnn.costs.stage_table`).
+
+    Each stage runs at the larger of its operands' widths; ``width`` maps
+    an operand slot to its bit-width and :data:`~repro.gnn.costs.FP32`
+    counts as 32.
+    """
+    counter = BitOpsCounter() if counter is None else counter
+    for name, operations, operands in stages:
+        counter.add(f"{prefix}.{name}", operations,
+                    max(FP32_BITS if slot == FP32 else width(slot)
+                        for slot in operands))
+    return counter
 
 
 def average_bits(component_bits: Iterable[int],

@@ -30,6 +30,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from repro.gnn.attention import attention_edges, attention_head_dim
+from repro.gnn.costs import OUTPUT_SLOT
 from repro.gnn.gat import GATConv, TransformerConv, head_scores, merge_heads
 from repro.gnn.gcn import GCNConv
 from repro.gnn.gin import GINConv
@@ -45,14 +46,7 @@ from repro.nn import init
 from repro.nn.activations import Dropout, ReLU
 from repro.nn.linear import Linear
 from repro.nn.module import Module, ModuleList, Parameter
-from repro.quant.bitops import (
-    FP32_BITS,
-    BitOpsCounter,
-    attention_aggregate_operations,
-    average_bits,
-    gat_score_operations,
-    transformer_score_operations,
-)
+from repro.quant.bitops import FP32_BITS, BitOpsCounter, average_bits, count_stages
 from repro.quant.quantizer import AffineQuantizer, IdentityQuantizer
 from repro.tensor import functional as F
 from repro.tensor.sparse import SparseTensor, spmm
@@ -179,7 +173,39 @@ class QuantLinear(Module):
         return counter, _bits_of(self.output_quantizer)
 
 
-class QuantGCNConv(MessagePassing):
+class QuantConv(MessagePassing):
+    """Base of the quantized conv layers: one BitOPs count for every family.
+
+    A subclass names its family, its dense transforms (``weight_slots``)
+    and every quantizer by artifact slot (``quantizer_slots``); the
+    family's stage table (:mod:`repro.gnn.costs`) does the rest.  The same
+    slot map is what :meth:`~repro.serving.QuantizedArtifact.from_model`
+    exports.
+    """
+
+    def quantizer_slots(self) -> Dict[str, Module]:
+        """Every quantizer of the layer, weights included, keyed by slot."""
+        raise NotImplementedError
+
+    def bit_operations(self, graph: Graph, incoming_bits: int,
+                       prefix: str) -> tuple[BitOpsCounter, int]:
+        """This layer's BitOPs on ``graph`` and its outgoing bit-width.
+
+        ``incoming_bits`` is the width of the layer input when the layer
+        does not quantize it itself.
+        """
+        slots = self.quantizer_slots()
+
+        def width(slot: str) -> int:
+            if slot == "input" and not self.quantize_input:
+                return incoming_bits
+            return _bits_of(slots[slot])
+
+        counter = count_stages(self.stages(graph), width, prefix)
+        return counter, width(OUTPUT_SLOT[self.family])
+
+
+class QuantGCNConv(QuantConv):
     """GCN convolution with per-component fake quantization.
 
     Components: ``input`` (first layer only), ``weight``, ``linear_out``,
@@ -188,6 +214,7 @@ class QuantGCNConv(MessagePassing):
     """
 
     COMPONENTS = ("input", "weight", "linear_out", "adjacency", "aggregate_out")
+    family = "gcn"
 
     def __init__(self, in_features: int, out_features: int, bits: ComponentBits,
                  quantize_input: bool = False, quantize_output: bool = True,
@@ -234,23 +261,17 @@ class QuantGCNConv(MessagePassing):
         bits[f"{prefix}.aggregate_out"] = _bits_of(self.aggregate_out_quantizer)
         return bits
 
-    def bit_operations(self, graph: Graph, incoming_bits: int,
-                       prefix: str) -> tuple[BitOpsCounter, int]:
-        counter = BitOpsCounter()
-        input_bits = _bits_of(self.input_quantizer) if self.quantize_input else incoming_bits
-        transform_bits = max(input_bits, _bits_of(self.weight_quantizer))
-        counter.add(f"{prefix}.transform", self.linear.operation_count(graph.num_nodes),
-                    transform_bits)
-        aggregate_bits = max(_bits_of(self.adjacency_quantizer),
-                             _bits_of(self.linear_out_quantizer))
-        counter.add(f"{prefix}.aggregate",
-                    self.aggregation_operations(graph, self.out_features), aggregate_bits)
-        outgoing = _bits_of(self.aggregate_out_quantizer) if self.quantize_output \
-            else aggregate_bits
-        return counter, outgoing
+    def weight_slots(self) -> Dict[str, Linear]:
+        return {"weight": self.linear}
+
+    def quantizer_slots(self) -> Dict[str, Module]:
+        return {"input": self.input_quantizer, "weight": self.weight_quantizer,
+                "linear_out": self.linear_out_quantizer,
+                "adjacency": self.adjacency_quantizer,
+                "aggregate_out": self.aggregate_out_quantizer}
 
 
-class QuantGINConv(MessagePassing):
+class QuantGINConv(QuantConv):
     """GIN convolution with per-component fake quantization.
 
     Components: ``input`` (first layer only), ``adjacency``,
@@ -259,6 +280,7 @@ class QuantGINConv(MessagePassing):
     """
 
     COMPONENTS = ("input", "adjacency", "aggregate_out", "weight_0", "weight_1", "output")
+    family = "gin"
 
     def __init__(self, in_features: int, out_features: int, bits: ComponentBits,
                  quantize_input: bool = False,
@@ -308,25 +330,19 @@ class QuantGINConv(MessagePassing):
         bits[f"{prefix}.output"] = _bits_of(self.mlp_second.output_quantizer)
         return bits
 
-    def bit_operations(self, graph: Graph, incoming_bits: int,
-                       prefix: str) -> tuple[BitOpsCounter, int]:
-        counter = BitOpsCounter()
-        input_bits = _bits_of(self.input_quantizer) if self.quantize_input else incoming_bits
-        aggregate_bits = max(_bits_of(self.adjacency_quantizer), input_bits)
-        counter.add(f"{prefix}.aggregate",
-                    self.aggregation_operations(graph, self.in_features), aggregate_bits)
-        counter.add(f"{prefix}.combine", 2 * graph.num_nodes * self.in_features,
-                    aggregate_bits)
-        first, bits_after_first = self.mlp_first.bit_operations(
-            graph.num_nodes, _bits_of(self.aggregate_out_quantizer), f"{prefix}.mlp0")
-        counter.extend(first)
-        second, outgoing = self.mlp_second.bit_operations(
-            graph.num_nodes, bits_after_first, f"{prefix}.mlp1")
-        counter.extend(second)
-        return counter, outgoing
+    def weight_slots(self) -> Dict[str, Linear]:
+        return {"mlp0": self.mlp_first.linear, "mlp1": self.mlp_second.linear}
+
+    def quantizer_slots(self) -> Dict[str, Module]:
+        first, second = self.mlp_first, self.mlp_second
+        return {"input": self.input_quantizer,
+                "adjacency": self.adjacency_quantizer,
+                "aggregate_out": self.aggregate_out_quantizer,
+                "mlp0": first.weight_quantizer, "mlp0_out": first.output_quantizer,
+                "mlp1": second.weight_quantizer, "mlp1_out": second.output_quantizer}
 
 
-class QuantSAGEConv(MessagePassing):
+class QuantSAGEConv(QuantConv):
     """GraphSAGE convolution with per-component fake quantization.
 
     Components: ``input`` (first layer only), ``adjacency``,
@@ -335,6 +351,7 @@ class QuantSAGEConv(MessagePassing):
 
     COMPONENTS = ("input", "adjacency", "aggregate_out", "weight_root",
                   "weight_neighbour", "output")
+    family = "sage"
 
     def __init__(self, in_features: int, out_features: int, bits: ComponentBits,
                  quantize_input: bool = False,
@@ -380,24 +397,19 @@ class QuantSAGEConv(MessagePassing):
         bits[f"{prefix}.output"] = _bits_of(self.output_quantizer)
         return bits
 
-    def bit_operations(self, graph: Graph, incoming_bits: int,
-                       prefix: str) -> tuple[BitOpsCounter, int]:
-        counter = BitOpsCounter()
-        input_bits = _bits_of(self.input_quantizer) if self.quantize_input else incoming_bits
-        aggregate_bits = max(_bits_of(self.adjacency_quantizer), input_bits)
-        counter.add(f"{prefix}.aggregate",
-                    self.aggregation_operations(graph, self.in_features), aggregate_bits)
-        counter.add(f"{prefix}.transform_root",
-                    self.linear_root.operation_count(graph.num_nodes),
-                    max(input_bits, _bits_of(self.weight_root_quantizer)))
-        counter.add(f"{prefix}.transform_neighbour",
-                    self.linear_neighbour.operation_count(graph.num_nodes),
-                    max(_bits_of(self.aggregate_out_quantizer),
-                        _bits_of(self.weight_neighbour_quantizer)))
-        return counter, _bits_of(self.output_quantizer)
+    def weight_slots(self) -> Dict[str, Linear]:
+        return {"root": self.linear_root, "neighbour": self.linear_neighbour}
+
+    def quantizer_slots(self) -> Dict[str, Module]:
+        return {"input": self.input_quantizer,
+                "adjacency": self.adjacency_quantizer,
+                "aggregate_out": self.aggregate_out_quantizer,
+                "root": self.weight_root_quantizer,
+                "neighbour": self.weight_neighbour_quantizer,
+                "output": self.output_quantizer}
 
 
-class QuantGATConv(MessagePassing):
+class QuantGATConv(QuantConv):
     """Multi-head GAT convolution with per-component fake quantization.
 
     Components: ``input`` (first layer only), ``weight`` (the feature
@@ -412,6 +424,7 @@ class QuantGATConv(MessagePassing):
     """
 
     COMPONENTS = ("input", "weight", "linear_out", "attention", "aggregate_out")
+    family = "gat"
 
     def __init__(self, in_features: int, out_features: int, bits: ComponentBits,
                  quantize_input: bool = False, negative_slope: float = 0.2,
@@ -477,30 +490,17 @@ class QuantGATConv(MessagePassing):
         bits[f"{prefix}.aggregate_out"] = _bits_of(self.aggregate_out_quantizer)
         return bits
 
-    def bit_operations(self, graph: Graph, incoming_bits: int,
-                       prefix: str) -> tuple[BitOpsCounter, int]:
-        counter = BitOpsCounter()
-        num_nodes = graph.num_nodes
-        num_edges = graph.adjacency(add_self_loops=False).nnz + num_nodes
-        width = self.heads * self.head_dim
-        input_bits = _bits_of(self.input_quantizer) if self.quantize_input \
-            else incoming_bits
-        counter.add(f"{prefix}.transform",
-                    2 * num_nodes * self.in_features * width,
-                    max(input_bits, _bits_of(self.weight_quantizer)))
-        # Score projections + per-edge leaky-relu/softmax stay FP32.
-        counter.add(f"{prefix}.score",
-                    gat_score_operations(num_nodes, num_edges, self.heads,
-                                         self.head_dim), FP32_BITS)
-        counter.add(f"{prefix}.aggregate",
-                    attention_aggregate_operations(num_edges, self.heads,
-                                                   self.head_dim),
-                    max(_bits_of(self.attention_quantizer),
-                        _bits_of(self.linear_out_quantizer)))
-        return counter, _bits_of(self.aggregate_out_quantizer)
+    def weight_slots(self) -> Dict[str, Linear]:
+        return {"weight": self.linear}
+
+    def quantizer_slots(self) -> Dict[str, Module]:
+        return {"input": self.input_quantizer, "weight": self.weight_quantizer,
+                "linear_out": self.linear_out_quantizer,
+                "attention": self.attention_quantizer,
+                "aggregate_out": self.aggregate_out_quantizer}
 
 
-class QuantTransformerConv(MessagePassing):
+class QuantTransformerConv(QuantConv):
     """Multi-head transformer convolution with per-component fake quantization.
 
     Components: ``input`` (first layer only), ``weight_query`` /
@@ -512,6 +512,7 @@ class QuantTransformerConv(MessagePassing):
 
     COMPONENTS = ("input", "weight_query", "weight_key", "weight_value",
                   "value_out", "attention", "aggregate_out")
+    family = "transformer"
 
     def __init__(self, in_features: int, out_features: int, bits: ComponentBits,
                  quantize_input: bool = False, heads: int = 1,
@@ -576,32 +577,20 @@ class QuantTransformerConv(MessagePassing):
         bits[f"{prefix}.aggregate_out"] = _bits_of(self.aggregate_out_quantizer)
         return bits
 
-    def bit_operations(self, graph: Graph, incoming_bits: int,
-                       prefix: str) -> tuple[BitOpsCounter, int]:
-        counter = BitOpsCounter()
-        num_nodes = graph.num_nodes
-        num_edges = graph.adjacency(add_self_loops=False).nnz + num_nodes
-        width = self.heads * self.head_dim
-        input_bits = _bits_of(self.input_quantizer) if self.quantize_input \
-            else incoming_bits
-        transform_ops = 2 * num_nodes * self.in_features * width
-        for name, quantizer in (("query", self.weight_query_quantizer),
-                                ("key", self.weight_key_quantizer),
-                                ("value", self.weight_value_quantizer)):
-            counter.add(f"{prefix}.transform_{name}", transform_ops,
-                        max(input_bits, _bits_of(quantizer)))
-        counter.add(f"{prefix}.score",
-                    transformer_score_operations(num_edges, self.heads,
-                                                 self.head_dim), FP32_BITS)
-        counter.add(f"{prefix}.aggregate",
-                    attention_aggregate_operations(num_edges, self.heads,
-                                                   self.head_dim),
-                    max(_bits_of(self.attention_quantizer),
-                        _bits_of(self.value_out_quantizer)))
-        return counter, _bits_of(self.aggregate_out_quantizer)
+    def weight_slots(self) -> Dict[str, Linear]:
+        return {"query": self.query, "key": self.key, "value": self.value}
+
+    def quantizer_slots(self) -> Dict[str, Module]:
+        return {"input": self.input_quantizer,
+                "query": self.weight_query_quantizer,
+                "key": self.weight_key_quantizer,
+                "value": self.weight_value_quantizer,
+                "value_out": self.value_out_quantizer,
+                "attention": self.attention_quantizer,
+                "aggregate_out": self.aggregate_out_quantizer}
 
 
-class QuantTAGConv(MessagePassing):
+class QuantTAGConv(QuantConv):
     """TAG convolution with per-component fake quantization.
 
     Components: ``input`` (first layer only), ``adjacency``, ``hop_out``
@@ -610,6 +599,8 @@ class QuantTAGConv(MessagePassing):
     In minibatch mode the layer consumes ``hops`` stacked blocks — its
     per-layer hop plan — exactly like the float :class:`TAGConv`.
     """
+
+    family = "tag"
 
     def __init__(self, in_features: int, out_features: int, bits: ComponentBits,
                  quantize_input: bool = False, hops: int = 3,
@@ -680,26 +671,15 @@ class QuantTAGConv(MessagePassing):
         bits[f"{prefix}.output"] = _bits_of(self.output_quantizer)
         return bits
 
-    def bit_operations(self, graph: Graph, incoming_bits: int,
-                       prefix: str) -> tuple[BitOpsCounter, int]:
-        counter = BitOpsCounter()
-        num_nodes = graph.num_nodes
-        nnz = graph.adjacency(add_self_loops=True).nnz
-        input_bits = _bits_of(self.input_quantizer) if self.quantize_input \
-            else incoming_bits
-        hop_bits = _bits_of(self.hop_out_quantizer)
-        adjacency_bits = _bits_of(self.adjacency_quantizer)
-        transform_ops = 2 * num_nodes * self.in_features * self.out_features
-        counter.add(f"{prefix}.transform_hop0", transform_ops,
-                    max(input_bits, _bits_of(self.weight_quantizers[0])))
-        x_bits = input_bits
-        for hop in range(1, self.hops + 1):
-            counter.add(f"{prefix}.aggregate_hop{hop}",
-                        2 * nnz * self.in_features, max(adjacency_bits, x_bits))
-            counter.add(f"{prefix}.transform_hop{hop}", transform_ops,
-                        max(hop_bits, _bits_of(self.weight_quantizers[hop])))
-            x_bits = hop_bits
-        return counter, _bits_of(self.output_quantizer)
+    def weight_slots(self) -> Dict[str, Linear]:
+        return {f"hop{k}": linear for k, linear in enumerate(self.linears)}
+
+    def quantizer_slots(self) -> Dict[str, Module]:
+        slots = {"input": self.input_quantizer, "adjacency": self.adjacency_quantizer,
+                 "hop_out": self.hop_out_quantizer, "output": self.output_quantizer}
+        slots.update((f"hop{k}", quantizer)
+                     for k, quantizer in enumerate(self.weight_quantizers))
+        return slots
 
 
 #: ``conv_type`` -> quantized conv class, shared by every model builder.

@@ -25,14 +25,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.quant.qmodules import (
-    QuantGATConv,
-    QuantGCNConv,
-    QuantGINConv,
-    QuantSAGEConv,
-    QuantTAGConv,
-    QuantTransformerConv,
-)
+from repro.quant.qmodules import QuantConv
 from repro.quant.quantizer import AffineQuantizer, IdentityQuantizer, QuantizationParameters
 
 PathLike = Union[str, Path]
@@ -151,138 +144,34 @@ def _weight_plan(weight: np.ndarray, quantizer,
     return WeightPlan(weight, 1.0, 32, bias)
 
 
-def _export_gcn(conv: QuantGCNConv) -> LayerPlan:
-    bias = None if conv.linear.bias is None else conv.linear.bias.data
-    return LayerPlan(
-        conv_type="gcn",
-        in_features=conv.in_features,
-        out_features=conv.out_features,
-        weights={"weight": _weight_plan(conv.linear.weight.data,
-                                        conv.weight_quantizer, bias)},
-        quantizers={
-            "input": _parameters_of(conv.input_quantizer),
-            "linear_out": _parameters_of(conv.linear_out_quantizer),
-            "adjacency": _parameters_of(conv.adjacency_quantizer),
-            "aggregate_out": _parameters_of(conv.aggregate_out_quantizer),
-        })
-
-
-def _export_sage(conv: QuantSAGEConv) -> LayerPlan:
-    root_bias = None if conv.linear_root.bias is None else conv.linear_root.bias.data
-    return LayerPlan(
-        conv_type="sage",
-        in_features=conv.in_features,
-        out_features=conv.out_features,
-        weights={
-            "root": _weight_plan(conv.linear_root.weight.data,
-                                 conv.weight_root_quantizer, root_bias),
-            "neighbour": _weight_plan(conv.linear_neighbour.weight.data,
-                                      conv.weight_neighbour_quantizer, None),
-        },
-        quantizers={
-            "input": _parameters_of(conv.input_quantizer),
-            "adjacency": _parameters_of(conv.adjacency_quantizer),
-            "aggregate_out": _parameters_of(conv.aggregate_out_quantizer),
-            "output": _parameters_of(conv.output_quantizer),
-        })
-
-
-def _export_gin(conv: QuantGINConv) -> LayerPlan:
-    first, second = conv.mlp_first, conv.mlp_second
-    first_bias = None if first.linear.bias is None else first.linear.bias.data
-    second_bias = None if second.linear.bias is None else second.linear.bias.data
-    return LayerPlan(
-        conv_type="gin",
-        in_features=conv.in_features,
-        out_features=conv.out_features,
-        weights={
-            "mlp0": _weight_plan(first.linear.weight.data,
-                                 first.weight_quantizer, first_bias),
-            "mlp1": _weight_plan(second.linear.weight.data,
-                                 second.weight_quantizer, second_bias),
-        },
-        quantizers={
-            "input": _parameters_of(conv.input_quantizer),
-            "adjacency": _parameters_of(conv.adjacency_quantizer),
-            "aggregate_out": _parameters_of(conv.aggregate_out_quantizer),
-            "mlp0_out": _parameters_of(first.output_quantizer),
-            "mlp1_out": _parameters_of(second.output_quantizer),
-        },
-        eps=float(conv.eps))
-
-
-def _export_gat(conv: QuantGATConv) -> LayerPlan:
-    # The GAT bias is added *after* the attention-weighted aggregation, so
-    # the executor applies the ``weight`` plan's bias post-aggregate.  The
-    # per-head FP32 attention vectors are stored column-per-head
-    # (``(head_dim, heads)``), matching the QAT parameter layout.
-    return LayerPlan(
-        conv_type="gat",
-        in_features=conv.in_features,
-        out_features=conv.out_features,
-        weights={
-            "weight": _weight_plan(conv.linear.weight.data,
-                                   conv.weight_quantizer, conv.bias.data),
-            "attention_src": _weight_plan(conv.attention_src.data, None, None),
-            "attention_dst": _weight_plan(conv.attention_dst.data, None, None),
-        },
-        quantizers={
-            "input": _parameters_of(conv.input_quantizer),
-            "linear_out": _parameters_of(conv.linear_out_quantizer),
-            "attention": _parameters_of(conv.attention_quantizer),
-            "aggregate_out": _parameters_of(conv.aggregate_out_quantizer),
-        },
-        negative_slope=float(conv.negative_slope),
-        heads=int(conv.heads), head_merge=str(conv.head_merge))
-
-
-def _export_transformer(conv: QuantTransformerConv) -> LayerPlan:
-    value_bias = None if conv.value.bias is None else conv.value.bias.data
-    return LayerPlan(
-        conv_type="transformer",
-        in_features=conv.in_features,
-        out_features=conv.out_features,
-        weights={
-            "query": _weight_plan(conv.query.weight.data,
-                                  conv.weight_query_quantizer, None),
-            "key": _weight_plan(conv.key.weight.data,
-                                conv.weight_key_quantizer, None),
-            "value": _weight_plan(conv.value.weight.data,
-                                  conv.weight_value_quantizer, value_bias),
-        },
-        quantizers={
-            "input": _parameters_of(conv.input_quantizer),
-            "value_out": _parameters_of(conv.value_out_quantizer),
-            "attention": _parameters_of(conv.attention_quantizer),
-            "aggregate_out": _parameters_of(conv.aggregate_out_quantizer),
-        },
-        heads=int(conv.heads), head_merge=str(conv.head_merge))
-
-
-def _export_tag(conv: QuantTAGConv) -> LayerPlan:
+def _export(conv: QuantConv) -> LayerPlan:
+    """One conv layer's plan, read through its slot map."""
+    slots = conv.quantizer_slots()
+    # The GAT bias is added *after* the attention-weighted aggregation: it
+    # rides on the ``weight`` plan and the executor applies it post-merge.
+    biases = {"weight": conv.bias} if conv.family == "gat" else {}
     weights: Dict[str, WeightPlan] = {}
-    for k, (linear, quantizer) in enumerate(zip(conv.linears,
-                                                conv.weight_quantizers)):
-        bias = None if linear.bias is None else linear.bias.data
-        weights[f"hop{k}"] = _weight_plan(linear.weight.data, quantizer, bias)
+    for slot, linear in conv.weight_slots().items():
+        bias = biases.get(slot, linear.bias)
+        weights[slot] = _weight_plan(linear.weight.data, slots[slot],
+                                     None if bias is None else bias.data)
+    if conv.family == "gat":
+        # Per-head FP32 attention vectors, stored column-per-head
+        # (``(head_dim, heads)``) like the QAT parameters.
+        weights["attention_src"] = _weight_plan(conv.attention_src.data, None, None)
+        weights["attention_dst"] = _weight_plan(conv.attention_dst.data, None, None)
     return LayerPlan(
-        conv_type="tag",
+        conv_type=conv.family,
         in_features=conv.in_features,
         out_features=conv.out_features,
         weights=weights,
-        quantizers={
-            "input": _parameters_of(conv.input_quantizer),
-            "adjacency": _parameters_of(conv.adjacency_quantizer),
-            "hop_out": _parameters_of(conv.hop_out_quantizer),
-            "output": _parameters_of(conv.output_quantizer),
-        },
-        hops=int(conv.hops))
-
-
-_EXPORTERS = {QuantGCNConv: _export_gcn, QuantSAGEConv: _export_sage,
-              QuantGINConv: _export_gin, QuantGATConv: _export_gat,
-              QuantTransformerConv: _export_transformer,
-              QuantTAGConv: _export_tag}
+        quantizers={slot: _parameters_of(quantizer)
+                    for slot, quantizer in slots.items() if slot not in weights},
+        eps=float(getattr(conv, "eps", 0.0)),
+        hops=int(conv.hops),
+        negative_slope=float(getattr(conv, "negative_slope", 0.2)),
+        heads=int(conv.heads),
+        head_merge=str(getattr(conv, "head_merge", "concat")))
 
 
 def _params_to_json(params: Optional[QuantizationParameters]):
@@ -394,16 +283,11 @@ class QuantizedArtifact:
                     f"layer conv{index} ({type(conv).__name__}) holds relaxed "
                     f"quantizers: a search model is not deployable; build the "
                     f"quantized model from its component_bits() and train it first")
-            exporter = _EXPORTERS.get(type(conv))
-            if exporter is None:
-                for conv_class, candidate in _EXPORTERS.items():
-                    if isinstance(conv, conv_class):
-                        exporter = candidate
-                        break
-            if exporter is None:
+            if not isinstance(conv, QuantConv):
+                handled = ", ".join(c.__name__ for c in QuantConv.__subclasses__())
                 raise TypeError(f"unsupported layer {type(conv).__name__}; serving "
-                                f"handles {', '.join(c.__name__ for c in _EXPORTERS)}")
-            plans.append(exporter(conv))
+                                f"handles {handled}")
+            plans.append(_export(conv))
         conv_types = {plan.conv_type for plan in plans}
         if len(conv_types) != 1:
             raise TypeError(f"mixed conv families {sorted(conv_types)} cannot share "

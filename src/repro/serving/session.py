@@ -49,16 +49,12 @@ import numpy as np
 
 from repro.cache import BlockCache, CacheStats
 from repro.gnn.attention import AttentionEdges, attention_edges
+from repro.gnn.costs import OUTPUT_SLOT, aggregation_edges, stage_table
 from repro.kernels import BackendLike, resolve_backend
 from repro.gnn.sage import mean_adjacency
 from repro.graphs.graph import Graph
 from repro.graphs.sampling import Fanout, NeighborSampler, SubgraphBlock
-from repro.quant.bitops import (
-    BitOpsCounter,
-    attention_aggregate_operations,
-    gat_score_operations,
-    transformer_score_operations,
-)
+from repro.quant.bitops import FP32_BITS, BitOpsCounter, count_stages
 from repro.quant.quantizer import QuantizationParameters
 from repro.serving.artifact import LayerPlan, QuantizedArtifact
 from repro.tensor.sparse import SparseTensor
@@ -299,119 +295,34 @@ class InferenceSession:
     # ------------------------------------------------------------------ #
     # BitOPs accounting (shared by execution and the arithmetic counters)
     # ------------------------------------------------------------------ #
-    def _count_layer(self, plan: LayerPlan, index: int, n_src: int, n_dst: int,
-                     nnz: Union[int, Sequence[int]], counter: BitOpsCounter,
-                     incoming: Optional[QuantizationParameters]
-                     ) -> Optional[QuantizationParameters]:
-        """Append one layer's BitOPs records; returns its outgoing params.
+    @staticmethod
+    def _count_stages(plan: LayerPlan, index: int, n_src: int, n_dst: int,
+                      edges: Union[int, Sequence[int]], counter: BitOpsCounter,
+                      incoming: Optional[QuantizationParameters]
+                      ) -> Optional[QuantizationParameters]:
+        """Record one layer's stage table; returns its outgoing params.
 
-        ``nnz`` is the edge count of the layer's aggregation: operator
+        ``edges`` is the edge count of the layer's aggregation: operator
         non-zeros for matrix layers, attention edges (self loops included)
         for GAT / Transformer, and one per-hop sequence for TAG.
         """
-        if plan.conv_type == "gat":
-            weight = plan.weights["weight"]
-            width = plan.heads * plan.head_dim
-            input_params = plan.params("input") if plan.params("input") is not None \
-                else incoming
-            input_bits = 32 if input_params is None else input_params.bits
-            counter.add(f"layer{index}.transform",
-                        2 * n_src * plan.in_features * width,
-                        min(max(input_bits, weight.bits), 32))
-            # Score projections + per-edge leaky-relu/softmax stay FP32.
-            counter.add(f"layer{index}.score",
-                        gat_score_operations(n_src, nnz, plan.heads,
-                                             plan.head_dim), 32)
-            counter.add(f"layer{index}.aggregate",
-                        attention_aggregate_operations(nnz, plan.heads,
-                                                       plan.head_dim),
-                        min(max(plan.slot_bits("attention"),
-                                plan.slot_bits("linear_out")), 32))
-            return plan.params("aggregate_out")
+        def params(slot: str) -> Optional[QuantizationParameters]:
+            found = plan.params(slot)
+            return incoming if slot == "input" and found is None else found
 
-        if plan.conv_type == "transformer":
-            width = plan.heads * plan.head_dim
-            input_params = plan.params("input") if plan.params("input") is not None \
-                else incoming
-            input_bits = 32 if input_params is None else input_params.bits
-            transform_ops = 2 * n_src * plan.in_features * width
-            for name in ("query", "key", "value"):
-                counter.add(f"layer{index}.transform_{name}", transform_ops,
-                            min(max(input_bits, plan.weights[name].bits), 32))
-            counter.add(f"layer{index}.score",
-                        transformer_score_operations(nnz, plan.heads,
-                                                     plan.head_dim), 32)
-            counter.add(f"layer{index}.aggregate",
-                        attention_aggregate_operations(nnz, plan.heads,
-                                                       plan.head_dim),
-                        min(max(plan.slot_bits("attention"),
-                                plan.slot_bits("value_out")), 32))
-            return plan.params("aggregate_out")
+        def width(slot: str) -> int:
+            if slot in plan.weights:
+                return plan.weights[slot].bits
+            found = params(slot)
+            return FP32_BITS if found is None else found.bits
 
-        if plan.conv_type == "tag":
-            per_hop_nnz = [int(nnz)] * plan.hops if np.isscalar(nnz) \
-                else [int(v) for v in nnz]
-            input_params = plan.params("input") if plan.params("input") is not None \
-                else incoming
-            x_bits = 32 if input_params is None else input_params.bits
-            hop_bits = plan.slot_bits("hop_out")
-            adjacency_bits = plan.slot_bits("adjacency")
-            transform_ops = 2 * n_dst * plan.in_features * plan.out_features
-            counter.add(f"layer{index}.transform_hop0", transform_ops,
-                        min(max(x_bits, plan.weights["hop0"].bits), 32))
-            for hop in range(1, plan.hops + 1):
-                counter.add(f"layer{index}.aggregate_hop{hop}",
-                            2 * per_hop_nnz[hop - 1] * plan.in_features,
-                            min(max(adjacency_bits, x_bits), 32))
-                counter.add(f"layer{index}.transform_hop{hop}", transform_ops,
-                            min(max(hop_bits, plan.weights[f"hop{hop}"].bits), 32))
-                x_bits = hop_bits
-            return plan.params("output")
-
-        if plan.conv_type == "gcn":
-            weight = plan.weights["weight"]
-            counter.add(f"layer{index}.transform",
-                        2 * n_src * plan.in_features * plan.out_features,
-                        weight.bits)
-            linear_out = plan.params("linear_out")
-            aggregate_bits = plan.slot_bits("adjacency") if linear_out is None \
-                else max(plan.slot_bits("adjacency"), linear_out.bits)
-            counter.add(f"layer{index}.aggregate",
-                        2 * nnz * plan.out_features, min(aggregate_bits, 32))
-            return plan.params("aggregate_out")
-
-        params_x = plan.params("input") if plan.params("input") is not None \
-            else incoming
-        x_bits = 32 if params_x is None else params_x.bits
-        aggregate_bits = min(max(plan.slot_bits("adjacency"), x_bits), 32)
-        if plan.conv_type == "sage":
-            root = plan.weights["root"]
-            neighbour = plan.weights["neighbour"]
-            counter.add(f"layer{index}.aggregate",
-                        2 * nnz * plan.in_features, aggregate_bits)
-            counter.add(f"layer{index}.transform_root",
-                        2 * n_dst * plan.in_features * plan.out_features,
-                        min(max(x_bits, root.bits), 32))
-            counter.add(f"layer{index}.transform_neighbour",
-                        2 * n_dst * plan.in_features * plan.out_features,
-                        min(max(plan.slot_bits("aggregate_out"), neighbour.bits),
-                            32))
-            return plan.params("output")
-
-        mlp0 = plan.weights["mlp0"]
-        mlp1 = plan.weights["mlp1"]
-        hidden_features = mlp0.integers.shape[1]
-        counter.add(f"layer{index}.aggregate",
-                    2 * nnz * plan.in_features, aggregate_bits)
-        counter.add(f"layer{index}.combine",
-                    2 * n_dst * plan.in_features, aggregate_bits)
-        counter.add(f"layer{index}.mlp0",
-                    2 * n_dst * plan.in_features * hidden_features,
-                    min(max(plan.slot_bits("aggregate_out"), mlp0.bits), 32))
-        counter.add(f"layer{index}.mlp1",
-                    2 * n_dst * hidden_features * plan.out_features,
-                    min(max(plan.slot_bits("mlp0_out"), mlp1.bits), 32))
-        return plan.params("mlp1_out")
+        weights = {slot: (*weight.integers.shape, weight.bias is not None)
+                   for slot, weight in plan.weights.items()}
+        per_hop = [int(edges)] if np.isscalar(edges) else [int(e) for e in edges]
+        stages = stage_table(plan.conv_type, weights, n_src, n_dst, per_hop,
+                             plan.heads)
+        count_stages(stages, width, f"conv{index}", counter)
+        return params(OUTPUT_SLOT[plan.conv_type])
 
     # ------------------------------------------------------------------ #
     def _forward(self, layer_graphs: Sequence[GraphLike], x: np.ndarray,
@@ -478,7 +389,7 @@ class InferenceSession:
         aggregate_out = plan.params("aggregate_out")
         aggregated = _fake_quantize(aggregate_out, aggregated)
 
-        self._count_layer(plan, index, x.shape[0], aggregated.shape[0],
+        self._count_stages(plan, index, x.shape[0], aggregated.shape[0],
                           adjacency.nnz, counter, incoming)
         return aggregated, aggregate_out, adjacency.nnz
 
@@ -504,7 +415,7 @@ class InferenceSession:
         output = plan.params("output")
         out = _fake_quantize(output, out)
 
-        self._count_layer(plan, index, x.shape[0], aggregated.shape[0],
+        self._count_stages(plan, index, x.shape[0], aggregated.shape[0],
                           adjacency.nnz, counter, incoming)
         return out, output, adjacency.nnz
 
@@ -532,7 +443,7 @@ class InferenceSession:
         out, _ = self.kernels.linear_requant(hidden, plan.weights["mlp1"],
                                              mlp1_out)
 
-        self._count_layer(plan, index, x.shape[0], combined.shape[0],
+        self._count_stages(plan, index, x.shape[0], combined.shape[0],
                           adjacency.nnz, counter, incoming)
         return out, mlp1_out, adjacency.nnz
 
@@ -571,7 +482,7 @@ class InferenceSession:
         aggregate_out = plan.params("aggregate_out")
         merged = _fake_quantize(aggregate_out, merged)
 
-        self._count_layer(plan, index, x.shape[0], merged.shape[0],
+        self._count_stages(plan, index, x.shape[0], merged.shape[0],
                           edges.num_edges, counter, incoming)
         return merged, aggregate_out, edges.num_edges
 
@@ -601,7 +512,7 @@ class InferenceSession:
         aggregate_out = plan.params("aggregate_out")
         merged = _fake_quantize(aggregate_out, merged)
 
-        self._count_layer(plan, index, x.shape[0], merged.shape[0],
+        self._count_stages(plan, index, x.shape[0], merged.shape[0],
                           edges.num_edges, counter, incoming)
         return merged, aggregate_out, edges.num_edges
 
@@ -640,7 +551,7 @@ class InferenceSession:
         output = plan.params("output")
         out = _fake_quantize(output, out)
 
-        self._count_layer(plan, index, x.shape[0], num_final, per_hop_nnz,
+        self._count_stages(plan, index, x.shape[0], num_final, per_hop_nnz,
                           counter, incoming)
         return out, output, int(sum(per_hop_nnz))
 
@@ -693,17 +604,9 @@ class FullGraphSession(InferenceSession):
         num_nodes = self.graph.num_nodes
         incoming: Optional[QuantizationParameters] = None
         for index, plan in enumerate(self.artifact.layers):
-            nnz: Union[int, List[int]]
-            if plan.conv_type in ("gat", "transformer"):
-                # Attention runs over the explicit edge list plus self loops.
-                nnz = self.graph.adjacency(add_self_loops=False).nnz + num_nodes
-            elif plan.conv_type == "tag":
-                nnz = [self.graph.adjacency(add_self_loops=True).nnz] * plan.hops
-            else:
-                add_self_loops = plan.conv_type == "gcn"
-                nnz = self.graph.adjacency(add_self_loops=add_self_loops).nnz
-            incoming = self._count_layer(plan, index, num_nodes, num_nodes,
-                                         nnz, counter, incoming)
+            edges = [aggregation_edges(plan.conv_type, self.graph)] * plan.hops
+            incoming = self._count_stages(plan, index, num_nodes, num_nodes,
+                                          edges, counter, incoming)
         return counter
 
 

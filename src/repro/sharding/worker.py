@@ -253,8 +253,7 @@ def serve_rows(sampler: NeighborSampler, nodes: np.ndarray, fanout: Fanout,
     salt = _salt(sampler.seed, epoch, hop)
     if epoch == sampler.rng_epoch:
         return sampler._final_rows(nodes, fanout, hop, salt)
-    cols, weights, counts = sampler._raw_rows(nodes)
-    return sampler._cap_rows(nodes, cols, weights, counts, fanout, salt)
+    return sampler.uncached_rows(nodes, fanout, salt)
 
 
 @dataclass

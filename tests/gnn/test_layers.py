@@ -22,11 +22,6 @@ class TestMessagePassingBase:
         expected = tiny_graph.adjacency().csr @ tiny_graph.x
         np.testing.assert_allclose(out.data, expected, rtol=1e-5)
 
-    def test_aggregation_operations_scale_with_nnz(self, tiny_graph):
-        layer = MessagePassing()
-        ops = layer.aggregation_operations(tiny_graph, 10)
-        assert ops == 2 * tiny_graph.adjacency(add_self_loops=True).nnz * 10
-
 
 class TestGCNConv:
     def test_output_shape(self, tiny_graph, features):

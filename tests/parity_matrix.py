@@ -89,8 +89,8 @@ class TestParityMatrix:
     # ------------------------------------------------------------------ #
     # integer × served (and the BitOPs half of the contract)
     # ------------------------------------------------------------------ #
-    def test_integer_served(self, parity_graph, parity_artifact, family,
-                            heads):
+    def test_integer_served(self, parity_graph, parity_quant_model,
+                            parity_artifact, family, heads):
         artifact = parity_artifact(family, heads)
         full_session = FullGraphSession(artifact, parity_graph)
         full = full_session.run()
@@ -102,6 +102,9 @@ class TestParityMatrix:
             == full.bit_operations.total_bit_operations
         assert full_session.bit_operations().total_bit_operations \
             == full.bit_operations.total_bit_operations
+        # the served count is the QAT model's count, record for record
+        assert parity_quant_model(family, heads).bit_operations(
+            parity_graph).per_function() == full.bit_operations.per_function()
 
     # ------------------------------------------------------------------ #
     # integer × cached (cached == uncached, bounded and unlimited fanout)

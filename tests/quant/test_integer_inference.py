@@ -62,10 +62,8 @@ class TestIntegerInference:
         engine_counter = engine.bit_operations(small_cora)
         model_counter = trained_int8_model.bit_operations(small_cora)
         assert engine_counter.total_bit_operations > 0
-        # The engine counts the same transform/aggregate work as the QAT model
-        # (the model additionally counts the FP32 input width on layer 0).
-        ratio = engine_counter.total_bit_operations / model_counter.total_bit_operations
-        assert 0.5 <= ratio <= 1.5
+        # Both read one stage table: the same records at the same widths.
+        assert engine_counter.per_function() == model_counter.per_function()
 
     def test_rejects_non_gcn_layers(self, small_cora):
         model = QuantNodeClassifier(
